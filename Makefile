@@ -108,10 +108,13 @@ chaos:
 # Allocs-per-op regression guards: the frozen decide fast path (observe,
 # dense state index, RCU argmax) must stay at zero allocations with tracing
 # disabled; provenance capture and the sampled trace lifecycle each get a
-# 2 allocs/op budget. Runs un-instrumented (the race detector's shadow
-# memory allocates).
+# 2 allocs/op budget. The control-plane reads — the auditor's clock sample
+# and an engine's learning-health sample — must stay at zero, and a fresh
+# agent over the full Table I grid must allocate under 128 KB before any Q
+# row materializes. Runs un-instrumented (the race detector's shadow memory
+# allocates).
 alloc-guard:
-	$(GO) test -run '^(TestDecideZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget)$$' .
+	$(GO) test -run '^(TestDecideZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestAuditorObserveZeroAlloc|TestEngineHealthZeroAlloc|TestFreshAgentHeapBudget)$$' .
 
 # Fuzz smoke over the fault-schedule parser: any input that parses must also
 # compile and answer injector queries without panicking.
@@ -207,9 +210,10 @@ smoke-traces:
 verify: build fmt vet race race-policy race-exp race-fault race-obs race-router race-plan race-hot race-super race-tracez chaos-short alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces
 
 # Archive the representative benchmarks (end-to-end Fig 9, gateway and
-# routing-tier throughput, the telemetry hot path, the router dispatch path
-# and the planner recompute) as BENCH_exp.json: per-benchmark name, ns/op and allocs/op averaged
-# over three repetitions.
+# routing-tier throughput, the telemetry hot path, the router dispatch path,
+# the planner recompute and the control-plane reads: the auditor's clock
+# sample and an engine's learning-health sample) as BENCH_exp.json:
+# per-benchmark name, ns/op and allocs/op averaged over three repetitions.
 bench:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkDecide|BenchmarkGatewayThroughput|BenchmarkRouterThroughput)$$' \
 		-benchmem -count=3 . > BENCH_exp.txt
@@ -219,6 +223,8 @@ bench:
 		-benchmem -count=3 ./internal/router/ >> BENCH_exp.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkPlannerRecompute$$' \
 		-benchmem -count=3 ./internal/plan/ >> BENCH_exp.txt
+	$(GO) test -run '^$$' -bench '^(BenchmarkAuditorObserve|BenchmarkEngineHealth)$$' \
+		-benchmem -count=3 . >> BENCH_exp.txt
 	$(GO) run ./cmd/benchjson -in BENCH_exp.txt -out BENCH_exp.json
 	@cat BENCH_exp.json
 

@@ -22,6 +22,7 @@ import (
 	"autoscale/internal/sched"
 	"autoscale/internal/sim"
 	"autoscale/internal/soc"
+	"autoscale/internal/super"
 )
 
 // benchOpts keeps experiment benches affordable; the full-fidelity numbers
@@ -461,7 +462,7 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 
 // benchRouter builds a four-shard router, one lightly warmed lane per shard,
 // with three weighted tenants — the multi-shard counterpart of benchGateway.
-func benchRouter(b *testing.B) *Router {
+func benchRouter(b testing.TB) *Router {
 	b.Helper()
 	m := dnn.MustByName("MobileNet v3")
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
@@ -532,6 +533,44 @@ func BenchmarkRouterThroughput(b *testing.B) {
 		})
 	}
 }
+
+// --- Control-plane read benches ---------------------------------------------
+
+// BenchmarkAuditorObserve measures one mid-storm invariant sample — every
+// shard's (name, incarnation, virtual clock) under the router's read lock
+// plus the per-incarnation monotonicity check — over the four-shard router.
+// The chaos rig runs it after every request, so it must stay far below the
+// request itself.
+func BenchmarkAuditorObserve(b *testing.B) {
+	rt := benchRouter(b)
+	defer rt.Shutdown(context.Background())
+	aud, err := super.NewAuditor(rt, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		aud.Observe()
+	}
+	b.StopTimer()
+	if v := aud.Violations(); len(v) != 0 {
+		b.Fatalf("violations on an idle router: %v", v)
+	}
+}
+
+// BenchmarkEngineHealth measures one learning-health sample of a lightly
+// trained engine — the read every supervision tick and /metrics scrape makes
+// per device.
+func BenchmarkEngineHealth(b *testing.B) {
+	e, _, _ := trainedBenchEngine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		healthSink = e.Health()
+	}
+}
+
+// healthSink keeps BenchmarkEngineHealth's sample live.
+var healthSink core.Health
 
 // --- Extension experiment benches ------------------------------------------
 

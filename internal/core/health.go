@@ -1,9 +1,5 @@
 package core
 
-import (
-	"autoscale/internal/obs"
-)
-
 // rewardWindow is how many recent rewards the engine retains for the
 // windowed mean-reward gauge. 256 steps ≈ a few minutes of inference at the
 // paper's request rates — recent enough to show drift, wide enough to smooth
@@ -53,34 +49,18 @@ type Health struct {
 // clock movement, no agent mutation.
 func (e *Engine) Health() Health {
 	agent := e.agent.Load()
-	e.mu.Lock()
-	rewards := make([]float64, 0, e.rewardN)
-	for i := 0; i < e.rewardN; i++ {
-		rewards = append(rewards, e.rewards[i])
-	}
-	e.mu.Unlock()
-
 	h := Health{
 		Algorithm:      e.cfg.Algorithm.String(),
 		Frozen:         agent.Frozen(),
 		Epsilon:        agent.Epsilon(),
 		States:         agent.NumStates(),
 		StateSpaceSize: e.States.Size(),
-		RewardSamples:  len(rewards),
 		VirtualS:       e.Now(),
 	}
 	if h.StateSpaceSize > 0 {
 		h.Coverage = float64(h.States) / float64(h.StateSpaceSize)
 	}
-
-	visits := agent.VisitCounts()
-	counts := make([]int, 0, len(visits))
-	for _, n := range visits {
-		h.TotalVisits += n
-		counts = append(counts, n)
-	}
-	h.MaxVisits = obs.MaxCount(counts)
-	h.VisitEntropy = obs.Entropy(counts)
+	h.TotalVisits, h.MaxVisits, h.VisitEntropy = agent.VisitStats()
 
 	explores, selections := agent.ExplorationStats()
 	h.Selections = selections
@@ -89,11 +69,14 @@ func (e *Engine) Health() Health {
 	}
 	h.TDErrorEMA, h.TDSamples = agent.TDErrorEMA()
 
-	for _, r := range rewards {
-		h.MeanReward += r
+	e.mu.Lock()
+	h.RewardSamples = e.rewardN
+	for i := 0; i < e.rewardN; i++ {
+		h.MeanReward += e.rewards[i]
 	}
-	if len(rewards) > 0 {
-		h.MeanReward /= float64(len(rewards))
+	e.mu.Unlock()
+	if h.RewardSamples > 0 {
+		h.MeanReward /= float64(h.RewardSamples)
 	}
 	return h
 }

@@ -145,3 +145,30 @@ func TestHealthSarsaAlgorithmName(t *testing.T) {
 		t.Fatalf("algorithm = %q", h.Algorithm)
 	}
 }
+
+// TestHealthIsBitIdenticalAcrossSamples: two samples of an unchanged engine
+// must agree bit for bit, so /metrics and /snapshot.json never flicker in
+// the last digits of the visit entropy or mean reward.
+func TestHealthIsBitIdenticalAcrossSamples(t *testing.T) {
+	e := newTestEngine(t)
+	models := []string{"MobileNet v1", "MobileNet v3", "Inception v3", "MobileBERT"}
+	for i := 0; i < 120; i++ {
+		c := sim.Conditions{RSSIWLAN: -50 - float64(i%40), RSSIP2P: -55}
+		if _, err := e.RunInference(dnn.MustByName(models[i%len(models)]), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := e.Health(), e.Health()
+	if a.States < 4 {
+		t.Fatalf("only %d states visited; test is vacuous", a.States)
+	}
+	if a != b || math.Float64bits(a.VisitEntropy) != math.Float64bits(b.VisitEntropy) ||
+		math.Float64bits(a.MeanReward) != math.Float64bits(b.MeanReward) {
+		t.Fatalf("two samples differ:\n %+v\nvs %+v", a, b)
+	}
+	total, max, entropy := e.Agent().VisitStats()
+	if a.TotalVisits != total || a.MaxVisits != max || math.Float64bits(a.VisitEntropy) != math.Float64bits(entropy) {
+		t.Fatalf("health visits (%d, %d, %v) != VisitStats (%d, %d, %v)",
+			a.TotalVisits, a.MaxVisits, a.VisitEntropy, total, max, entropy)
+	}
+}

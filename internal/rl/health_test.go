@@ -1,8 +1,12 @@
 package rl
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
+
+	"autoscale/internal/obs"
 )
 
 func TestTDErrorEMATracksConvergence(t *testing.T) {
@@ -145,5 +149,89 @@ func TestSnapshotExcludesHealthCounters(t *testing.T) {
 	}
 	if ex, sel := restored.ExplorationStats(); ex != 0 || sel != 0 {
 		t.Fatalf("restored agent carries exploration state (%d, %d)", ex, sel)
+	}
+}
+
+// TestVisitStatsMatchesDenseOrderCounts pins VisitStats to obs.Entropy and
+// obs.MaxCount over the per-state counts in dense-index order — including
+// restored zero-count visit entries, which carry flagVisit but must not
+// count as visited — and requires repeated samples to be bit-identical.
+func TestVisitStatsMatchesDenseOrderCounts(t *testing.T) {
+	q := make(map[string][]float64)
+	visits := make(map[string]int)
+	for i := 0; i < 40; i++ {
+		s := fmt.Sprintf("s%02d", i)
+		q[s] = []float64{float64(i), -float64(i)}
+		visits[s] = (i * 7919) % 13 // several zero counts among the rest
+	}
+	visits["visit-only"] = 0 // a zero-count entry without a Q row
+	data, err := json.Marshal(map[string]any{"config": DefaultConfig(), "actions": 2, "q": q, "visits": visits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		if _, err := ag.SelectAction(State(fmt.Sprintf("s%02d", i%5)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tab := ag.tab.Load()
+	var counts []int
+	zeros := 0
+	for i := 0; i < tab.states; i++ {
+		if tab.flags[i].Load()&flagVisit != 0 {
+			c := int(tab.visits[i].Load())
+			counts = append(counts, c)
+			if c == 0 {
+				zeros++
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no restored zero-count visit entries; test is vacuous")
+	}
+	wantTotal := 0
+	for _, c := range counts {
+		wantTotal += c
+	}
+
+	total, max, entropy := ag.VisitStats()
+	if total != wantTotal || total != ag.TotalVisits() {
+		t.Fatalf("total = %d, want %d (TotalVisits %d)", total, wantTotal, ag.TotalVisits())
+	}
+	if want := obs.MaxCount(counts); max != want {
+		t.Fatalf("max = %d, want %d", max, want)
+	}
+	if want := obs.Entropy(counts); math.Float64bits(entropy) != math.Float64bits(want) {
+		t.Fatalf("entropy = %v, want obs.Entropy %v (bit-exact)", entropy, want)
+	}
+	for i := 0; i < 10; i++ {
+		t2, m2, e2 := ag.VisitStats()
+		if t2 != total || m2 != max || math.Float64bits(e2) != math.Float64bits(entropy) {
+			t.Fatalf("sample %d differs: (%d, %d, %v) vs (%d, %d, %v)", i, t2, m2, e2, total, max, entropy)
+		}
+	}
+}
+
+func TestVisitStatsDegenerate(t *testing.T) {
+	ag, err := NewAgent(DefaultConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, max, h := ag.VisitStats(); total != 0 || max != 0 || h != 0 {
+		t.Fatalf("fresh agent stats = (%d, %d, %v)", total, max, h)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ag.SelectAction("only", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One visited state: entropy is defined as 0, like obs.Entropy.
+	if total, max, h := ag.VisitStats(); total != 3 || max != 3 || h != 0 {
+		t.Fatalf("single-state stats = (%d, %d, %v)", total, max, h)
 	}
 }

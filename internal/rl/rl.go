@@ -4,18 +4,20 @@
 // snapshot/restore for persistence, and table transfer for the paper's
 // learning-transfer experiments (Section VI-C).
 //
-// Hot-path representation (DESIGN.md §14): the table is a flat
-// [states*actions] array of float64 bit patterns stored in atomic.Uint64
-// cells, published through an atomic.Pointer. States are dense int32 indices
-// minted by an Interner (the core StateSpace's mixed-radix grid plus a
-// dynamic overflow for alien keys); string keys survive only at the
-// snapshot/checkpoint boundary, where they are re-rendered so envelopes stay
-// byte-compatible with the map-based format. Reads (greedy selection, Q
+// Hot-path representation (DESIGN.md §14): the table is a dense per-state
+// array of row pointers, each row a [actions] slice of float64 bit patterns
+// stored in atomic.Uint64 cells and allocated when the state materializes;
+// the table itself is published through an atomic.Pointer. States are dense
+// int32 indices minted by an Interner (the core StateSpace's mixed-radix
+// grid plus a dynamic overflow for alien keys); string keys survive only at
+// the snapshot/checkpoint boundary, where they are re-rendered so envelopes
+// stay byte-compatible with the map-based format. Reads (greedy selection, Q
 // lookups, HasState) are lock-free and allocation-free once a row is
 // materialized; every write — RNG draws, row materialization, Q updates,
 // interning, growth — funnels through one writer mutex (the single-writer
-// rule), so readers can never observe a torn row: values are stored before
-// the row's ready flag, and per-cell loads are atomic.
+// rule), so readers can never observe a torn row: a row's values are stored
+// before its pointer is published, the pointer before the row's ready flag,
+// and per-cell loads are atomic.
 package rl
 
 import (
@@ -81,8 +83,9 @@ func (c Config) Validate() error {
 }
 
 // Per-state flag bits in table.flags. flagRow gates every lock-free row
-// read: it is set (atomically, after the row's values) only once the row is
-// fully materialized, so observing it implies the values are visible.
+// read: it is set (atomically, after the row's pointer) only once the row is
+// fully materialized, so observing it implies a non-nil row whose values are
+// visible.
 // flagVisit marks states carrying a visit-count entry — including restored
 // zero-count entries, which must round-trip through snapshots.
 const (
@@ -90,14 +93,22 @@ const (
 	flagVisit uint32 = 1 << 1
 )
 
-// table is one RCU-published generation of the dense Q storage. Cells hold
-// float64 bit patterns; growth (dynamic interners only) copies into a larger
-// table and republishes, so a reader holding the old generation still sees a
-// consistent (if momentarily stale) snapshot.
+// qrow is one state's Q values as float64 bit patterns, allocated when the
+// state materializes.
+type qrow struct {
+	q []atomic.Uint64 // [actions]
+}
+
+// table is one RCU-published generation of the dense Q storage: per-state
+// row pointers, flags and visit counts, so an agent pays for the index
+// arrays up front and for Q values only per materialized state. Growth
+// (dynamic interners only) copies the row pointers, flags and counts into a
+// larger table and republishes; rows are shared between generations, so a
+// reader holding the old generation still reads every row it saw flagged.
 type table struct {
 	actions int
 	states  int
-	q       []atomic.Uint64 // states*actions float64 bits, row-major
+	rows    []atomic.Pointer[qrow]
 	flags   []atomic.Uint32
 	visits  []atomic.Int64
 }
@@ -106,11 +117,19 @@ func newTable(actions, states int) *table {
 	return &table{
 		actions: actions,
 		states:  states,
-		q:       make([]atomic.Uint64, states*actions),
+		rows:    make([]atomic.Pointer[qrow], states),
 		flags:   make([]atomic.Uint32, states),
 		visits:  make([]atomic.Int64, states),
 	}
 }
+
+// newRow allocates an unpublished, zeroed row.
+func (t *table) newRow() *qrow { return &qrow{q: make([]atomic.Uint64, t.actions)} }
+
+// row returns the row of state i. Callers either hold wmu after
+// materializing i or have observed flagRow, which is set only after the
+// pointer is stored.
+func (t *table) row(i int32) []atomic.Uint64 { return t.rows[i].Load().q }
 
 // Agent is a tabular Q-learning agent. It is safe for concurrent use:
 // greedy reads are lock-free against the published table, and all mutation
@@ -175,8 +194,9 @@ func newAgent(cfg Config, numActions int, base Interner) (*Agent, error) {
 	}
 	a.intern.base = base
 	a.epsBits.Store(math.Float64bits(cfg.Epsilon))
-	// The base grid is pre-sized so base indices never trigger growth; the
-	// zeroed cells are untouched pages until rows materialize.
+	// The base grid is pre-sized so base indices never trigger growth; only
+	// the per-state pointer, flag and visit arrays are allocated here, and
+	// each Q row is allocated when its state materializes.
 	a.tab.Store(newTable(numActions, a.intern.baseSize()))
 	return a, nil
 }
@@ -248,10 +268,8 @@ func (a *Agent) growToLocked(states int) *table {
 		n = states
 	}
 	nt := newTable(a.actions, n)
-	for i := 0; i < t.states*t.actions; i++ {
-		nt.q[i].Store(t.q[i].Load())
-	}
 	for i := 0; i < t.states; i++ {
+		nt.rows[i].Store(t.rows[i].Load())
 		nt.flags[i].Store(t.flags[i].Load())
 		nt.visits[i].Store(t.visits[i].Load())
 	}
@@ -271,31 +289,48 @@ func (a *Agent) tableForLocked(i int32) (*table, error) {
 // ensureRowLocked materializes row i with random values on first touch —
 // the same draw sequence (one Float64 per action, in action order) as the
 // historical map-backed table, so fixed-seed runs replay identically.
-// Values are stored before flagRow, which readers acquire-load to gate the
-// lock-free fast path. Caller holds wmu.
+// Caller holds wmu.
 func (a *Agent) ensureRowLocked(t *table, i int32) {
 	if t.flags[i].Load()&flagRow != 0 {
 		return
 	}
-	row := t.q[int(i)*t.actions : (int(i)+1)*t.actions]
+	r := t.newRow()
 	span := a.cfg.InitHi - a.cfg.InitLo
-	for j := range row {
-		row[j].Store(math.Float64bits(a.cfg.InitLo + span*a.rng.Float64()))
+	for j := range r.q {
+		r.q[j].Store(math.Float64bits(a.cfg.InitLo + span*a.rng.Float64()))
 	}
+	a.publishRowLocked(t, i, r)
+}
+
+// publishRowLocked makes a filled row visible to lock-free readers: the
+// pointer is stored before flagRow is set, so a reader that observes the
+// flag always loads a non-nil, fully initialised row. Caller holds wmu and
+// has checked that row i is not yet materialized.
+func (a *Agent) publishRowLocked(t *table, i int32, r *qrow) {
+	t.rows[i].Store(r)
 	t.flags[i].Or(flagRow)
 	a.materialized.Add(1)
+}
+
+// stageRowLocked returns row i for overwriting: the published row when i is
+// materialized, else a fresh unpublished row (fresh is true) that the caller
+// fills and then hands to publishRowLocked. Caller holds wmu.
+func (a *Agent) stageRowLocked(t *table, i int32) (r *qrow, fresh bool) {
+	if t.flags[i].Load()&flagRow != 0 {
+		return t.rows[i].Load(), false
+	}
+	return t.newRow(), true
 }
 
 // installRowLocked writes explicit values into row i without consuming any
 // randomness (restore/copy paths). Caller holds wmu.
 func (a *Agent) installRowLocked(t *table, i int32, values []float64) {
-	row := t.q[int(i)*t.actions : (int(i)+1)*t.actions]
+	r, fresh := a.stageRowLocked(t, i)
 	for j, v := range values {
-		row[j].Store(math.Float64bits(v))
+		r.q[j].Store(math.Float64bits(v))
 	}
-	if t.flags[i].Load()&flagRow == 0 {
-		t.flags[i].Or(flagRow)
-		a.materialized.Add(1)
+	if fresh {
+		a.publishRowLocked(t, i, r)
 	}
 }
 
@@ -330,19 +365,20 @@ func nthEnabled(mask []bool, n, k int) int {
 }
 
 func loadQ(t *table, i int32, j int) float64 {
-	return math.Float64frombits(t.q[int(i)*t.actions+j].Load())
+	return math.Float64frombits(t.row(i)[j].Load())
 }
 
 // argmaxRow returns the first-enabled argmax of row i (strict > keeps the
 // historical first-wins tie-break). Returns -1 when mask disables everything.
 func argmaxRow(t *table, i int32, mask []bool) int {
+	row := t.row(i)
 	best := -1
 	var bestQ float64
-	for j := 0; j < t.actions; j++ {
+	for j := range row {
 		if !actionEnabled(mask, j) {
 			continue
 		}
-		q := loadQ(t, i, j)
+		q := math.Float64frombits(row[j].Load())
 		if best < 0 || q > bestQ {
 			best, bestQ = j, q
 		}
@@ -353,13 +389,14 @@ func argmaxRow(t *table, i int32, mask []bool) int {
 // maxRowQ returns the max Q of row i over enabled actions. Caller guarantees
 // at least one enabled action.
 func maxRowQ(t *table, i int32, mask []bool) float64 {
+	row := t.row(i)
 	first := true
 	var best float64
-	for j := 0; j < t.actions; j++ {
+	for j := range row {
 		if !actionEnabled(mask, j) {
 			continue
 		}
-		q := loadQ(t, i, j)
+		q := math.Float64frombits(row[j].Load())
 		if first || q > best {
 			best, first = q, false
 		}
@@ -451,8 +488,9 @@ func (a *Agent) SelectActionProvIdx(i int32, mask []bool, p *SelectProv) (int, e
 		idx = argmaxRow(t, i, mask)
 	}
 	p.Q = p.Q[:0]
-	for j := 0; j < a.actions; j++ {
-		p.Q = append(p.Q, loadQ(t, i, j))
+	row := t.row(i)
+	for j := range row {
+		p.Q = append(p.Q, math.Float64frombits(row[j].Load()))
 	}
 	return idx, nil
 }
@@ -543,7 +581,7 @@ func (a *Agent) updateLocked(si int32, action int, reward float64, ni int32, nex
 		nextBest = maxRowQ(t, ni, nextMask)
 	}
 	a.ensureRowLocked(t, si)
-	cell := &t.q[int(si)*t.actions+action]
+	cell := &t.row(si)[action]
 	q := math.Float64frombits(cell.Load())
 	delta := reward + a.cfg.Discount*nextBest - q
 	a.noteTDLocked(delta)
@@ -642,12 +680,13 @@ func (a *Agent) copyRowLocked(di, si int32) {
 	if di == si {
 		return
 	}
-	for j := 0; j < t.actions; j++ {
-		t.q[int(di)*t.actions+j].Store(t.q[int(si)*t.actions+j].Load())
+	src := t.row(si)
+	r, fresh := a.stageRowLocked(t, di)
+	for j := range src {
+		r.q[j].Store(src[j].Load())
 	}
-	if t.flags[di].Load()&flagRow == 0 {
-		t.flags[di].Or(flagRow)
-		a.materialized.Add(1)
+	if fresh {
+		a.publishRowLocked(t, di, r)
 	}
 }
 
@@ -704,6 +743,45 @@ func (a *Agent) VisitCounts() map[State]int {
 	return out
 }
 
+// VisitStats summarises the visit distribution in place: the total and
+// largest per-state counts and the normalized Shannon entropy over states
+// with a non-zero count (obs.Entropy's definition: 0 below two visited
+// states). It walks the dense arrays in index order, so it allocates
+// nothing and repeated samples of an unchanged table are bit-identical.
+// Lock-free: counts only grow, so a second pass that sums to the first
+// pass's total read the same counts, and a pass raced by a selection is
+// retried (a few times, then the last sample stands).
+func (a *Agent) VisitStats() (total, max int, entropy float64) {
+	t := a.tab.Load()
+	for attempt := 0; ; attempt++ {
+		total, max = 0, 0
+		visited := 0
+		for i := 0; i < t.states; i++ {
+			if c := int(t.visits[i].Load()); c > 0 {
+				visited++
+				total += c
+				if c > max {
+					max = c
+				}
+			}
+		}
+		if visited < 2 {
+			return total, max, 0
+		}
+		h, again := 0.0, 0
+		for i := 0; i < t.states; i++ {
+			if c := int(t.visits[i].Load()); c > 0 {
+				again += c
+				p := float64(c) / float64(total)
+				h -= p * math.Log(p)
+			}
+		}
+		if again == total || attempt == 3 {
+			return total, max, h / math.Log(float64(visited))
+		}
+	}
+}
+
 // TotalVisits returns the total number of action selections across all
 // states — zero means the agent has never been asked for a decision, which
 // the fleet syncer treats as "new device, warm-start me".
@@ -724,9 +802,10 @@ func (a *Agent) Rows() map[State][]float64 {
 		if t.flags[i].Load()&flagRow == 0 {
 			continue
 		}
-		row := make([]float64, t.actions)
-		for j := range row {
-			row[j] = loadQ(t, int32(i), j)
+		src := t.row(int32(i))
+		row := make([]float64, len(src))
+		for j := range src {
+			row[j] = math.Float64frombits(src[j].Load())
 		}
 		out[a.intern.keyOf(int32(i))] = row
 	}
@@ -735,9 +814,9 @@ func (a *Agent) Rows() map[State][]float64 {
 
 // MemoryBytes estimates the Q-table's resident footprint: one float64 per
 // (materialized state, action) pair plus key overhead. The paper reports
-// 0.4 MB for its full table. (The dense backing array reserves the full
-// grid up front, but untouched rows are never written, so their pages stay
-// unmapped; this reports the touched working set, as the map did.)
+// 0.4 MB for its full table. (Q rows are allocated only when their state
+// materializes, so this is the touched working set, as the map reported;
+// the per-state pointer, flag and visit arrays are not counted.)
 func (a *Agent) MemoryBytes() int {
 	total := 0
 	a.ForEachMaterialized(func(_ int32, key State) { total += len(key) + 8*a.actions })
@@ -904,9 +983,10 @@ func (a *Agent) ImportMapped(donor *Agent, srcForDst []int) error {
 		i := a.internLocked(s)
 		t := a.tab.Load()
 		a.ensureRowLocked(t, i)
+		row := t.row(i)
 		for j, src := range srcForDst {
 			if src >= 0 {
-				t.q[int(i)*t.actions+j].Store(math.Float64bits(donorRow[src]))
+				row[j].Store(math.Float64bits(donorRow[src]))
 			}
 		}
 	}

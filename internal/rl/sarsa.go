@@ -80,7 +80,7 @@ func (a *SarsaAgent) updateSarsaLocked(si int32, action int, reward float64, ni 
 	a.ensureRowLocked(t, ni)
 	nextQ := loadQ(t, ni, nextAction)
 	a.ensureRowLocked(t, si)
-	cell := &t.q[int(si)*t.actions+action]
+	cell := &t.row(si)[action]
 	q := math.Float64frombits(cell.Load())
 	delta := reward + a.cfg.Discount*nextQ - q
 	a.noteTDLocked(delta)

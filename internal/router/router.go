@@ -996,16 +996,13 @@ func (rt *Router) ShardState(name string) string {
 }
 
 // ShardSignal is one shard's raw health inputs, gathered in a single locked
-// pass for the supervisor: lifecycle, per-shard serving metrics, per-device
-// learning health, and the in-flight gauge.
+// pass for the supervisor: lifecycle and clock, per-shard serving metrics,
+// per-device learning health, and the in-flight gauge.
 type ShardSignal struct {
-	Name        string
-	State       string
-	Incarnation int
-	VirtualS    float64
-	Inflight    int64
-	Snap        metrics.Snapshot
-	Health      map[string]core.Health
+	ShardClock
+	Inflight int64
+	Snap     metrics.Snapshot
+	Health   map[string]core.Health
 }
 
 // ShardSignals collects every shard's health inputs in shard-name order.
@@ -1018,12 +1015,9 @@ func (rt *Router) ShardSignals() []ShardSignal {
 	for _, name := range rt.order {
 		sh := rt.shards[name]
 		sig := ShardSignal{
-			Name:        name,
-			State:       sh.state.String(),
-			Incarnation: sh.incarnation,
-			VirtualS:    sh.gw.VirtualNow(),
-			Inflight:    sh.inflight.Load(),
-			Snap:        sh.gw.Snapshot(),
+			ShardClock: clockOf(name, sh),
+			Inflight:   sh.inflight.Load(),
+			Snap:       sh.gw.Snapshot(),
 		}
 		if sh.state.serving() || sh.state == shardDraining {
 			sig.Health = sh.gw.Health()
@@ -1031,6 +1025,39 @@ func (rt *Router) ShardSignals() []ShardSignal {
 		out = append(out, sig)
 	}
 	return out
+}
+
+// ShardClock is one shard's lifecycle state and virtual clock reading —
+// the narrow cut the invariant auditor and the supervisor's status document
+// need, without ShardSignals' metrics snapshot and learning health.
+type ShardClock struct {
+	Name        string
+	State       string
+	Incarnation int
+	VirtualS    float64
+}
+
+// clockOf reads one shard's clock row. Caller holds rt.mu.
+func clockOf(name string, sh *shard) ShardClock {
+	return ShardClock{
+		Name:        name,
+		State:       sh.state.String(),
+		Incarnation: sh.incarnation,
+		VirtualS:    sh.gw.VirtualNow(),
+	}
+}
+
+// ShardClocks appends every shard's clock row to dst in shard-name order,
+// under the same read lock ShardSignals takes, and returns the extended
+// slice. A caller that passes a reused dst[:0] reads the fleet without
+// allocating.
+func (rt *Router) ShardClocks(dst []ShardClock) []ShardClock {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	for _, name := range rt.order {
+		dst = append(dst, clockOf(name, rt.shards[name]))
+	}
+	return dst
 }
 
 // TenantQueues reports each tenant's fairness-queue row, in tenant-name

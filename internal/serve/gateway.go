@@ -267,8 +267,10 @@ func (g *Gateway) snapshotWorkers() []*worker {
 // events) against this reading, so lifecycle is as deterministic as the
 // execution it rides on.
 func (g *Gateway) VirtualNow() float64 {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	var now float64
-	for _, w := range g.snapshotWorkers() {
+	for _, w := range g.workers {
 		if t := w.engine.Now(); t > now {
 			now = t
 		}

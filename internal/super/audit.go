@@ -30,12 +30,19 @@ import (
 //
 // Goroutine-leak and exactly-one-response-per-request checks live in the
 // driving test, which owns the request futures and the process baseline.
+//
+// Read cost: Observe reads only each shard's name, incarnation and virtual
+// clock (router.ShardClocks into a reused buffer, one router read lock and
+// one gateway read lock per shard), so a steady-state call allocates nothing
+// and costs well under a microsecond per shard — cheap enough to run after
+// every request. Final reads the router's counters and sweeps the store.
 type Auditor struct {
 	rt    *router.Router
 	store *policy.Store
 
 	mu     sync.Mutex
 	clocks map[string]clockMark
+	buf    []router.ShardClock // Observe's reused read buffer, guarded by mu
 	viols  []string
 }
 
@@ -61,10 +68,10 @@ func (a *Auditor) violate(format string, args ...any) {
 // Observe samples the mid-storm invariants; call it from the driving loop as
 // often as desired (each supervision tick is the natural cadence).
 func (a *Auditor) Observe() {
-	sigs := a.rt.ShardSignals()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, sig := range sigs {
+	a.buf = a.rt.ShardClocks(a.buf[:0])
+	for _, sig := range a.buf {
 		mark, ok := a.clocks[sig.Name]
 		if ok && mark.incarnation == sig.Incarnation && sig.VirtualS < mark.virtualS {
 			a.violate("shard %s incarnation %d: virtual clock moved backwards (%.6f -> %.6f)",

@@ -515,7 +515,7 @@ func (s *Supervisor) Status() Status {
 		IntervalS: s.cfg.intervalS(),
 		Actions:   append([]Action(nil), s.actions...),
 	}
-	for _, sig := range s.rt.ShardSignals() {
+	for _, sig := range s.rt.ShardClocks(nil) {
 		row := ShardStatus{Name: sig.Name, RouterState: sig.State, Phase: phaseOK.String(), Score: 1}
 		if rec, ok := s.recs[sig.Name]; ok {
 			row.Phase = rec.phase.String()

@@ -1,9 +1,13 @@
 package autoscale
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"autoscale/internal/core"
+	"autoscale/internal/rl"
+	"autoscale/internal/super"
 	"autoscale/internal/tracez"
 )
 
@@ -94,5 +98,72 @@ func TestTraceLifecycleAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, lifecycle)
 	if avg > 2 {
 		t.Fatalf("sampled trace lifecycle allocates %.2f allocs/op, budget 2", avg)
+	}
+}
+
+// TestAuditorObserveZeroAlloc guards the chaos auditor's mid-storm sample:
+// it reads each shard's clock row into a reused buffer and updates existing
+// per-shard marks, so once every shard has a mark it must not allocate.
+func TestAuditorObserveZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
+	}
+	rt := benchRouter(t)
+	defer rt.Shutdown(context.Background())
+	aud, err := super.NewAuditor(rt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aud.Observe() // first sample sizes the buffer and seeds the marks
+	if avg := testing.AllocsPerRun(1000, aud.Observe); avg != 0 {
+		t.Fatalf("Auditor.Observe allocates %.2f allocs/op, want 0", avg)
+	}
+	if v := aud.Violations(); len(v) != 0 {
+		t.Fatalf("violations on an idle router: %v", v)
+	}
+}
+
+// TestEngineHealthZeroAlloc guards the learning-health sample: visit totals,
+// the hottest state and the visit entropy are summarised in place over the
+// dense arrays and the mean reward is summed under the engine lock, so a
+// sample allocates nothing.
+func TestEngineHealthZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
+	}
+	e, _, _ := trainedBenchEngine(t)
+	if avg := testing.AllocsPerRun(1000, func() { _ = e.Health() }); avg != 0 {
+		t.Fatalf("Engine.Health allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestFreshAgentHeapBudget keeps Q storage proportional to what is touched:
+// an agent over the full Table I grid with the Mi8Pro's 66 actions reserves
+// only its per-state pointer, flag and visit arrays (about 60 KB) until a row
+// materializes. A dense [states x actions] slab would be about 1.6 MB.
+func TestFreshAgentHeapBudget(t *testing.T) {
+	const actions, budget = 66, 128 << 10
+	grid := core.NewStateSpace()
+	if grid.Size() != 3072 {
+		t.Fatalf("Table I grid has %d states, want 3072", grid.Size())
+	}
+	var before, after runtime.MemStats
+	least := uint64(1 << 62)
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		ag, err := rl.NewAgentInterned(rl.DefaultConfig(), actions, grid)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ag.NumStates() != 0 {
+			t.Fatalf("fresh agent has %d materialized rows", ag.NumStates())
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n < least {
+			least = n
+		}
+	}
+	if least >= budget {
+		t.Fatalf("fresh agent allocates %d bytes, budget %d", least, budget)
 	}
 }
