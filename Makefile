@@ -210,13 +210,18 @@ smoke-traces:
 verify: build fmt vet race race-policy race-exp race-fault race-obs race-router race-plan race-hot race-super race-tracez chaos-short alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces
 
 # Archive the representative benchmarks (end-to-end Fig 9, gateway and
-# routing-tier throughput, the telemetry hot path, the router dispatch path,
-# the planner recompute and the control-plane reads: the auditor's clock
-# sample and an engine's learning-health sample) as BENCH_exp.json:
-# per-benchmark name, ns/op and allocs/op averaged over three repetitions.
+# routing-tier throughput, the offline decide path's layers: a training
+# step, a simulated execution idle and beside a co-runner, the Opt oracle's
+# search and the neighbour-seeding scan, the telemetry hot path, the router
+# dispatch path, the planner recompute and the control-plane reads: the
+# auditor's clock sample and an engine's learning-health sample) as
+# BENCH_exp.json: per-benchmark name, ns/op and allocs/op averaged over
+# three repetitions.
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkDecide|BenchmarkGatewayThroughput|BenchmarkRouterThroughput)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkDecide|BenchmarkGatewayThroughput|BenchmarkRouterThroughput|BenchmarkEngineTrainStep|BenchmarkWorldExecute|BenchmarkOptSearch)$$' \
 		-benchmem -count=3 . > BENCH_exp.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkNeighborSeed$$' \
+		-benchmem -count=3 ./internal/core/ >> BENCH_exp.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkHistogramObserve' \
 		-benchmem -count=3 ./internal/obs/ >> BENCH_exp.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkRouterDispatch$$' \

@@ -18,6 +18,7 @@ import (
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
 	"autoscale/internal/exp"
+	"autoscale/internal/interfere"
 	"autoscale/internal/rl"
 	"autoscale/internal/sched"
 	"autoscale/internal/sim"
@@ -178,17 +179,30 @@ func BenchmarkQTableUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldExecute measures one simulated inference execution.
+// BenchmarkWorldExecute measures one simulated inference execution: on an
+// idle device, where the model latency comes from the world's memo, and
+// beside a co-runner, whose penalties bypass the memo so every execution
+// walks the model's layers through the latency kernel.
 func BenchmarkWorldExecute(b *testing.B) {
-	w := sim.NewWorld(soc.Mi8Pro(), 1)
-	m := dnn.MustByName("ResNet 50")
-	t := sim.Target{Location: sim.Local, Kind: soc.DSP, Prec: dnn.INT8}
-	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Execute(m, t, c); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		load interfere.Load
+	}{
+		{"idle", interfere.Load{}},
+		{"corunner", interfere.Load{CPUUtil: 0.6, MemUtil: 0.4}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := sim.NewWorld(soc.Mi8Pro(), 1)
+			m := dnn.MustByName("ResNet 50")
+			t := sim.Target{Location: sim.Local, Kind: soc.DSP, Prec: dnn.INT8}
+			c := sim.Conditions{Load: bc.load, RSSIWLAN: -55, RSSIP2P: -55}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Execute(m, t, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -301,7 +301,11 @@ func (s *StateSpace) KeyOf(i int32) rl.State {
 // BinsOf decodes a dense index into per-feature bins; disabled features
 // decode as -1. It reports false for out-of-range indices.
 func (s *StateSpace) BinsOf(i int32, bins *[NumFeatures]int) bool {
-	c := s.cacheLoad()
+	return s.binsIn(s.cacheLoad(), i, bins)
+}
+
+// binsIn is BinsOf against a given cache generation.
+func (s *StateSpace) binsIn(c *internCache, i int32, bins *[NumFeatures]int) bool {
 	if i < 0 || int(i) >= c.size {
 		return false
 	}

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -270,5 +271,62 @@ func TestNewModel(t *testing.T) {
 	if _, err := NewModel("x", ImageClassification, layers, 1, 1,
 		map[Precision]float64{INT8: 70}); err == nil {
 		t.Error("missing FP32 accuracy should fail")
+	}
+}
+
+// loopInvariants recomputes the per-model invariants by walking the layers,
+// as every accessor did before they were cached.
+func loopInvariants(m *Model) (counts map[LayerType]int, macs float64, hasRC bool) {
+	counts = make(map[LayerType]int)
+	for _, l := range m.Layers {
+		counts[l.Type]++
+		macs += l.MACs
+		if l.Type == RC {
+			hasRC = true
+		}
+	}
+	return counts, macs, hasRC
+}
+
+// The cached invariants of zoo and NewModel models, and the walked ones of
+// literal models, must equal the loop values bit for bit.
+func TestCachedInvariantsMatchLoop(t *testing.T) {
+	custom, err := NewModel("Recurrent", Translation, []Layer{
+		{Name: "rc_0", Type: RC, MACs: 1.1e7, WeightBytes: 1e5, ActivationBytes: 1e3},
+		{Name: "fc_0", Type: FC, MACs: 3.3e6, WeightBytes: 1e5, ActivationBytes: 1e3},
+		{Name: "rc_1", Type: RC, MACs: 0.7e7, WeightBytes: 1e5, ActivationBytes: 1e3},
+		{Name: "odd", Type: LayerType(NumLayerTypes + 2), MACs: 1e3},
+	}, 1, 1, map[Precision]float64{FP32: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &Model{Name: "layer", Layers: []Layer{
+		{Type: Conv, MACs: 2e8}, {Type: RC, MACs: 3e7}, {Type: Conv, MACs: 1e-3},
+	}, InputBytes: 1, OutputBytes: 1}
+	sealed := append(Zoo(), custom)
+	for _, m := range append(sealed, literal) {
+		counts, macs, hasRC := loopInvariants(m)
+		if m.NumConv() != counts[Conv] || m.NumFC() != counts[FC] || m.NumRC() != counts[RC] {
+			t.Errorf("%s: counts %d/%d/%d, loop %v", m.Name, m.NumConv(), m.NumFC(), m.NumRC(), counts)
+		}
+		if got := m.MACs(); math.Float64bits(got) != math.Float64bits(macs) {
+			t.Errorf("%s: MACs %v, loop %v", m.Name, got, macs)
+		}
+		if m.HasRC() != hasRC {
+			t.Errorf("%s: HasRC %v, loop %v", m.Name, m.HasRC(), hasRC)
+		}
+		for typ, n := range counts {
+			if got := m.countOf(typ); got != n {
+				t.Errorf("%s: countOf(%s) = %d, loop %d", m.Name, typ, got, n)
+			}
+		}
+	}
+	for _, m := range sealed {
+		if m.inv == nil {
+			t.Errorf("%s: invariants not cached at construction", m.Name)
+		}
+	}
+	if literal.inv != nil {
+		t.Error("literal model must not carry cached invariants")
 	}
 }

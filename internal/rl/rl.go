@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -635,14 +636,18 @@ func (a *Agent) HasStateIdx(i int32) bool {
 	return i >= 0 && int(i) < t.states && t.flags[i].Load()&flagRow != 0
 }
 
-// ForEachMaterialized calls fn for every materialized state in ascending
-// dense-index order (for a grid-interned agent that is also ascending
-// lexicographic key order). fn must not mutate the agent.
-func (a *Agent) ForEachMaterialized(fn func(i int32, key State)) {
-	t := a.tab.Load()
-	for i := 0; i < t.states; i++ {
-		if t.flags[i].Load()&flagRow != 0 {
-			fn(int32(i), a.intern.keyOf(int32(i)))
+// Materialized yields the dense index of every materialized state in
+// ascending order (for a grid-interned agent that is also ascending
+// lexicographic key order) with one sweep of the published flags; it
+// renders no keys. Lock-free: rows published during the sweep may or may
+// not be yielded.
+func (a *Agent) Materialized() iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		t := a.tab.Load()
+		for i := 0; i < t.states; i++ {
+			if t.flags[i].Load()&flagRow != 0 && !yield(int32(i)) {
+				return
+			}
 		}
 	}
 }
@@ -712,7 +717,9 @@ func (a *Agent) Q(s State, action int) float64 {
 // States returns the visited/materialized states in sorted order.
 func (a *Agent) States() []State {
 	out := make([]State, 0, a.materialized.Load())
-	a.ForEachMaterialized(func(_ int32, key State) { out = append(out, key) })
+	for i := range a.Materialized() {
+		out = append(out, a.intern.keyOf(i))
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -819,7 +826,9 @@ func (a *Agent) Rows() map[State][]float64 {
 // the per-state pointer, flag and visit arrays are not counted.)
 func (a *Agent) MemoryBytes() int {
 	total := 0
-	a.ForEachMaterialized(func(_ int32, key State) { total += len(key) + 8*a.actions })
+	for i := range a.Materialized() {
+		total += len(a.intern.keyOf(i)) + 8*a.actions
+	}
 	return total
 }
 

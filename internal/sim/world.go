@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -268,27 +269,41 @@ func (w *World) Feasible(m *dnn.Model, t Target) bool {
 // INT8). This is the ~66-action augmented space of the paper.
 func (w *World) Targets(m *dnn.Model) []Target {
 	var out []Target
-	for _, p := range w.Device.Processors {
-		for _, prec := range p.Precisions {
-			if !p.CanRun(m, prec) {
-				continue
-			}
-			for step := 0; step < p.Steps; step++ {
-				out = append(out, Target{Location: Local, Kind: p.Kind, Step: step, Prec: prec})
-			}
-		}
-	}
-	for _, loc := range []Location{Connected, Cloud} {
-		sys := w.systemAt(loc)
-		for _, p := range sys.Processors {
-			prec := remotePrecision(loc, p)
-			if !p.CanRun(m, prec) {
-				continue
-			}
-			out = append(out, Target{Location: loc, Kind: p.Kind, Prec: prec})
-		}
+	for t := range w.feasibleTargets(m) {
+		out = append(out, t)
 	}
 	return out
+}
+
+// feasibleTargets yields the actions of Targets, in the same order, without
+// building the slice.
+func (w *World) feasibleTargets(m *dnn.Model) iter.Seq[Target] {
+	return func(yield func(Target) bool) {
+		for _, p := range w.Device.Processors {
+			for _, prec := range p.Precisions {
+				if !p.CanRun(m, prec) {
+					continue
+				}
+				for step := 0; step < p.Steps; step++ {
+					if !yield(Target{Location: Local, Kind: p.Kind, Step: step, Prec: prec}) {
+						return
+					}
+				}
+			}
+		}
+		for _, loc := range [...]Location{Connected, Cloud} {
+			sys := w.systemAt(loc)
+			for _, p := range sys.Processors {
+				prec := remotePrecision(loc, p)
+				if !p.CanRun(m, prec) {
+					continue
+				}
+				if !yield(Target{Location: loc, Kind: p.Kind, Prec: prec}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // remotePrecision picks the precision used on a remote engine: FP32
@@ -540,11 +555,8 @@ func (w *World) BestTargetAt(now float64, m *dnn.Model, c Conditions, qosS, accT
 }
 
 func (w *World) bestTarget(m *dnn.Model, c Conditions, qosS, accTarget float64, skip func(Target) bool) (Target, Measurement, error) {
-	targets := w.Targets(m)
-	if len(targets) == 0 {
-		return Target{}, Measurement{}, fmt.Errorf("sim: no feasible target for %s", m.Name)
-	}
 	var (
+		feasible    bool
 		best        Target
 		bestMeas    Measurement
 		haveBest    bool
@@ -555,7 +567,8 @@ func (w *World) bestTarget(m *dnn.Model, c Conditions, qosS, accTarget float64, 
 		accBestMeas Measurement
 		haveAcc     bool
 	)
-	for _, t := range targets {
+	for t := range w.feasibleTargets(m) {
+		feasible = true
 		if skip != nil && skip(t) {
 			continue
 		}
@@ -578,6 +591,8 @@ func (w *World) bestTarget(m *dnn.Model, c Conditions, qosS, accTarget float64, 
 		}
 	}
 	switch {
+	case !feasible:
+		return Target{}, Measurement{}, fmt.Errorf("sim: no feasible target for %s", m.Name)
 	case haveBest:
 		return best, bestMeas, nil
 	case haveFB:
