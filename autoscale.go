@@ -191,7 +191,8 @@ func NewEnvironment(id string, seed int64) (*Environment, error) {
 	return sim.NewEnvironment(id, seed)
 }
 
-// Models returns the ten-network zoo of Table III.
+// Models returns the ten-network zoo of Table III. The models are shared
+// and cache their layer counts and MACs: do not edit their Layers.
 func Models() []*DNNModel { return dnn.Zoo() }
 
 // Layer and LayerType describe custom-model construction.
@@ -216,12 +217,15 @@ const (
 
 // NewModel builds a custom inference workload to schedule alongside (or
 // instead of) the Table III zoo. The accuracy map (percent, 0..100, keyed by
-// precision) must include FP32.
+// precision) must include FP32. The model copies layers and caches its
+// layer counts and MACs, so edit nothing in its Layers afterwards; build a
+// new model instead.
 func NewModel(name string, task Task, layers []Layer, inputBytes, outputBytes float64, accuracy map[Precision]float64) (*DNNModel, error) {
 	return dnn.NewModel(name, task, layers, inputBytes, outputBytes, accuracy)
 }
 
-// Model looks up a zoo network by its Table III name.
+// Model looks up a zoo network by its Table III name; like Models, the
+// result is shared and must not be edited.
 func Model(name string) (*DNNModel, error) { return dnn.ByName(name) }
 
 // RunExperiment regenerates one of the paper's tables or figures by ID
